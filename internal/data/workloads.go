@@ -51,10 +51,16 @@ var Workloads = map[string]Workload{
 var GLMDatasets = []string{"higgs", "susy", "epsilon", "criteo", "yfcc"}
 
 // Generate materializes the named workload at the given scale and tuple
-// order. Scale multiplies the tuple count (use <1 for quick tests). It
-// panics on unknown names, which indicates a programming error in the
-// benchmark registry.
+// order, from the workload's own generator seed. Scale multiplies the tuple
+// count (use <1 for quick tests). It panics on unknown names, which
+// indicates a programming error in the benchmark registry.
 func Generate(name string, scale float64, order Order) *Dataset {
+	return GenerateSeed(name, scale, order, Workloads[name].Base.Seed)
+}
+
+// GenerateSeed is Generate with an explicit generator seed: equal seeds
+// give identical datasets.
+func GenerateSeed(name string, scale float64, order Order, seed int64) *Dataset {
 	w, ok := Workloads[name]
 	if !ok {
 		panic("data: unknown workload " + name)
@@ -62,6 +68,7 @@ func Generate(name string, scale float64, order Order) *Dataset {
 	cfg := w.Base
 	cfg.Name = w.Name
 	cfg.Order = order
+	cfg.Seed = seed
 	cfg.Tuples = int(float64(cfg.Tuples) * scale)
 	if cfg.Tuples < 50 {
 		cfg.Tuples = 50

@@ -366,10 +366,12 @@ func (s *Session) execCreate(st *sqlparse.CreateTable) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, ok := data.Workloads[workload]; !ok {
+		w, ok := data.Workloads[workload]
+		if !ok {
 			return nil, fmt.Errorf("db: unknown workload %q", workload)
 		}
-		ds = data.Generate(workload, scale, order)
+		seed := int64(st.Synthetic.Num("seed", float64(w.Base.Seed)))
+		ds = data.GenerateSeed(workload, scale, order, seed)
 	case st.SourceFile != "":
 		f, err := os.Open(st.SourceFile)
 		if err != nil {

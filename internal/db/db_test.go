@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -68,6 +69,40 @@ func TestCreateDuplicateAndUnknowns(t *testing.T) {
 	}
 	if _, err := s.Exec(`SELECT * FROM t PREDICT BY missing`); err == nil {
 		t.Fatal("predicting with missing model should error")
+	}
+}
+
+// TestSyntheticSeed: SYNTHETIC(seed=...) seeds the generator. Equal seeds
+// give identical tables, a different seed a different one, and no seed at
+// all keeps the workload's own generator seed.
+func TestSyntheticSeed(t *testing.T) {
+	s := NewSession()
+	tuples := func(name, seedArg string) []data.Tuple {
+		t.Helper()
+		mustExec(t, s, `CREATE TABLE `+name+` AS SYNTHETIC(workload='susy', scale=0.02`+seedArg+`)`)
+		e, ok := s.Table(name)
+		if !ok {
+			t.Fatalf("table %s missing", name)
+		}
+		ts, err := e.Table.DecodeAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ts
+	}
+	a := tuples("a", ", seed=7")
+	b := tuples("b", ", seed=7")
+	c := tuples("c", ", seed=8")
+	def := tuples("d", "")
+	base := tuples("e", fmt.Sprintf(", seed=%d", data.Workloads["susy"].Base.Seed))
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("equal seeds gave different tables")
+	}
+	if reflect.DeepEqual(a, c) {
+		t.Fatal("seeds 7 and 8 gave the same table")
+	}
+	if !reflect.DeepEqual(def, base) {
+		t.Fatal("omitting seed no longer gives the workload's generator seed")
 	}
 }
 

@@ -2,6 +2,7 @@ package executor
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -45,6 +46,54 @@ func assertPerm(t *testing.T, ids []int64, n int) {
 			t.Fatalf("id %d twice", id)
 		}
 		seen[id] = true
+	}
+}
+
+// TestTupleShuffleLeavesCachePure: the CorgiPile plan shuffles references
+// to the table's shared decoded tuples, never the tuples themselves, on
+// both the synchronous and the async fill path.
+func TestTupleShuffleLeavesCachePure(t *testing.T) {
+	ds := data.SyntheticBinary(data.SyntheticConfig{
+		Tuples: 600, Features: 6, Order: data.OrderClustered, Seed: 62})
+	tab, err := storage.Build(iosim.NewDevice(iosim.SSD, iosim.NewClock()), ds,
+		storage.Options{BlockSize: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, async := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(5))
+		op := NewTupleShuffle(NewBlockShuffle(shuffle.TableSource(tab), rng), 100, rng)
+		op.Async = async
+		if err := op.Init(); err != nil {
+			t.Fatal(err)
+		}
+		for epoch := 0; epoch < 2; epoch++ {
+			assertPerm(t, drainOp(t, op), len(ds.Tuples))
+			if err := op.ReScan(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Each block must still read as a fresh decode of its stored bytes.
+		for i := 0; i < tab.NumBlocks(); i++ {
+			got, err := tab.ReadBlock(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rb, err := tab.RawBlockAt(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := storage.DecodeRawTuples(rb.Raw, rb.Tuples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("async=%v: block %d changed under the shuffle", async, i)
+			}
+		}
 	}
 }
 

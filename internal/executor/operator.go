@@ -12,7 +12,8 @@ import "corgipile/internal/data"
 type Operator interface {
 	// Init prepares operator state (buffers, shuffled block ids).
 	Init() error
-	// Next returns the next tuple; ok=false ends the current scan.
+	// Next returns the next tuple; ok=false ends the current scan. The
+	// tuple may be shared with the storage layer and is read-only.
 	Next() (t *data.Tuple, ok bool, err error)
 	// ReScan resets the operator to produce a fresh scan — for shuffle
 	// operators, with fresh randomness. It mirrors PostgreSQL's

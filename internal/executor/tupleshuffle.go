@@ -11,7 +11,11 @@ import (
 )
 
 // TupleShuffleOp buffers tuples pulled from its child and emits them in
-// shuffled order — the paper's second new physical operator. With
+// shuffled order — the paper's second new physical operator. It shuffles
+// references to the child's tuples, not the tuples, then copies the tuple
+// headers out in shuffled order, so the consumer reads them sequentially;
+// the child's tuples must stay valid while a buffer fills, as ScanOp's and
+// BlockShuffleOp's do. With
 // DoubleBuffer enabled it models the Section 6.3 optimization: a write
 // thread fills and shuffles one buffer while the read thread drains the
 // other, overlapping the child's I/O with the consumer's compute. The
@@ -39,7 +43,8 @@ type TupleShuffleOp struct {
 	// rejects the combination.
 	Async bool
 
-	buf       []data.Tuple
+	refs      []*data.Tuple // the buffered tuples, shuffled by reference
+	buf       []data.Tuple  // their headers in shuffled order, emitted in turn
 	pos       int
 	exhausted bool
 
@@ -84,9 +89,10 @@ func (op *TupleShuffleOp) startAsync() {
 	op.done = make(chan struct{})
 	go func(fills chan<- asyncFill, done <-chan struct{}) {
 		defer close(fills)
+		refs := make([]*data.Tuple, 0, op.Capacity)
 		for {
-			buf := make([]data.Tuple, 0, op.Capacity)
-			for len(buf) < op.Capacity {
+			refs = refs[:0]
+			for len(refs) < op.Capacity {
 				t, ok, err := op.child.Next()
 				if err != nil {
 					select {
@@ -96,20 +102,18 @@ func (op *TupleShuffleOp) startAsync() {
 					return
 				}
 				if !ok {
-					if len(buf) > 0 {
-						op.rng.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
+					if len(refs) > 0 {
 						select {
-						case fills <- asyncFill{buf: buf}:
+						case fills <- asyncFill{buf: op.shuffled(nil, refs)}:
 						case <-done:
 						}
 					}
 					return
 				}
-				buf = append(buf, *t)
+				refs = append(refs, t)
 			}
-			op.rng.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
 			select {
-			case fills <- asyncFill{buf: buf}:
+			case fills <- asyncFill{buf: op.shuffled(nil, refs)}:
 			case <-done:
 				return
 			}
@@ -186,9 +190,10 @@ func (op *TupleShuffleOp) refill() error {
 	}
 	sp := op.Obs.Span(obs.SpanRefill)
 
+	op.refs = op.refs[:0]
 	op.buf = op.buf[:0]
 	op.pos = 0
-	for len(op.buf) < op.Capacity {
+	for len(op.refs) < op.Capacity {
 		t, ok, err := op.child.Next()
 		if err != nil {
 			sp.End()
@@ -202,14 +207,12 @@ func (op *TupleShuffleOp) refill() error {
 			op.exhausted = true
 			break
 		}
-		op.buf = append(op.buf, *t)
+		op.refs = append(op.refs, t)
 	}
 	if op.Clock != nil && op.CopyCost > 0 {
-		op.Clock.Advance(time.Duration(len(op.buf)) * op.CopyCost)
+		op.Clock.Advance(time.Duration(len(op.refs)) * op.CopyCost)
 	}
-	op.rng.Shuffle(len(op.buf), func(i, j int) {
-		op.buf[i], op.buf[j] = op.buf[j], op.buf[i]
-	})
+	op.buf = op.shuffled(op.buf, op.refs)
 
 	sp.End()
 	op.Obs.Inc(obs.ShuffleRefills)
@@ -224,6 +227,16 @@ func (op *TupleShuffleOp) refill() error {
 		op.consuming = true
 	}
 	return nil
+}
+
+// shuffled shuffles refs in place and appends the tuples they point to, in
+// their new order, to dst.
+func (op *TupleShuffleOp) shuffled(dst []data.Tuple, refs []*data.Tuple) []data.Tuple {
+	op.rng.Shuffle(len(refs), func(i, j int) { refs[i], refs[j] = refs[j], refs[i] })
+	for _, t := range refs {
+		dst = append(dst, *t)
+	}
+	return dst
 }
 
 // consumeFor closes one consume interval on the pipeline and reports it.

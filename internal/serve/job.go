@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"math"
+	"strings"
 	"sync"
 	"time"
 
@@ -110,6 +111,9 @@ func (j *job) tryStart() bool {
 	if j.state != JobQueued {
 		return false
 	}
+	// Every field the running state publishes is set before the state
+	// flips, so no observer sees a running job without its model.
+	j.model = strings.ToLower(j.st.ModelName)
 	j.state = JobRunning
 	j.startedAt = time.Now()
 	return true

@@ -12,13 +12,15 @@ import (
 
 // This file is the high-QPS predict path. The batch executor pipeline
 // (Scan → Filter → Predict over the simulated device) is the right shape
-// for offline evaluation but pays decode and simulated I/O per statement;
-// a serving workload re-reads the same table thousands of times. The
-// server instead decodes each table once into a cached []data.Tuple
-// (DecodeAll charges no simulated I/O) and evaluates the model directly
-// per request — model Predict methods are pure (any scratch space lives
-// in a per-call workspace), so concurrent sessions share one snapshot
-// with no locking beyond the cache map itself.
+// for offline evaluation but pays simulated I/O per statement; a serving
+// workload re-reads the same table thousands of times. The server instead
+// keeps each table's DecodeAll snapshot (no simulated I/O) and evaluates
+// the model directly per request — model Predict methods are pure (any
+// scratch space lives in a per-call workspace), so concurrent sessions
+// share one snapshot with no locking beyond the cache map itself. The
+// table decodes each block only once, so refilling a snapshot after an
+// INSERT parses just the new blocks; the snapshot itself saves copying
+// the tuple headers and checking every block's CRC on each request.
 
 // cachedTable is one decoded table snapshot.
 type cachedTable struct {
@@ -57,10 +59,6 @@ func (c *predictCache) invalidate(name string) {
 	}
 	delete(c.tables, name)
 }
-
-// invalidateModel exists for symmetry at install sites; the tuple cache
-// does not key on models, so it is a no-op kept for clarity at call sites.
-func (c *predictCache) invalidateModel(string) {}
 
 // execPredict answers a PREDICT statement from the cache. The catalog
 // read lock is held only long enough to look up the table and model

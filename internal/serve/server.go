@@ -299,8 +299,6 @@ func New(cfg Config) (*Server, error) {
 			OnApply: func(rec storage.WALRecord) {
 				if kind, name := db.RecordTarget(rec); kind == "table" {
 					s.cache.invalidate(name)
-				} else if kind == "model" {
-					s.cache.invalidateModel(name)
 				}
 			},
 			OnSnapshot: func() { s.cache.invalidate("") },
@@ -638,19 +636,21 @@ func (s *Server) submitTrain(sessID string, st *sqlparse.Train, sql string, deta
 	j := newJob(id, sessID, sql, st, detach, parent)
 	j.trace, j.traceGiven = trace, traceGiven
 	j.events = s.events
-	select {
-	case s.queue <- j:
-	default:
+	if len(s.queue) == cap(s.queue) {
 		s.nextJob-- // the id was never visible; reuse it
 		s.mu.Unlock()
 		j.cancel()
 		return nil, errResponse(ErrQueueFull,
 			"train queue is full (%d pending); retry later", s.cfg.QueueDepth)
 	}
+	// A worker may start the job, and emit job.running, as soon as it is
+	// on the queue, so job.queued is emitted first. The send cannot block:
+	// every send happens under s.mu, and the queue has room.
+	s.events.Emit(obs.EvJobQueued, trace, "job="+id+" model="+strings.ToLower(st.ModelName))
+	s.queue <- j
 	s.jobs[id] = j
 	s.jobOrder = append(s.jobOrder, id)
 	s.mu.Unlock()
-	s.events.Emit(obs.EvJobQueued, trace, "job="+id+" model="+strings.ToLower(st.ModelName))
 	return j, nil
 }
 
@@ -702,7 +702,6 @@ func (s *Server) runJob(j *job) {
 	}
 	j.mu.Lock()
 	j.epochs = pt.Op().Epochs
-	j.model = strings.ToLower(j.st.ModelName)
 	j.blockBytes = pt.AvgBlockBytes()
 	j.mu.Unlock()
 
@@ -730,7 +729,6 @@ func (s *Server) runJob(j *job) {
 		s.writeArtifacts(j)
 		return
 	}
-	s.cache.invalidateModel(entry.Name)
 	s.catalog.Unlock()
 	isp.End()
 

@@ -15,6 +15,9 @@ import (
 // shuffle over all N blocks), then blocks are pulled n at a time into an
 // in-memory buffer whose tuples are shuffled before being emitted
 // (tuple-level shuffle). Every tuple is visited exactly once per epoch.
+// The buffer shuffles references to the tuples the source returned, not
+// the tuples, then copies the tuple headers out in shuffled order, so the
+// consumer reads them sequentially.
 //
 // With DoubleBuffer set, buffer refills overlap with SGD consumption: fill
 // and consume durations are measured on the shared clock and recombined
@@ -66,10 +69,11 @@ func (s *corgiPile) StartEpoch(int) (Iterator, error) {
 type corgiIter struct {
 	src    Source
 	perm   []int
-	next   int // next position in perm
-	nBuf   int // blocks per buffer (the paper's n)
-	bufCap int // tuple budget of one buffer, for the occupancy gauge
-	buf    []data.Tuple
+	next   int           // next position in perm
+	nBuf   int           // blocks per buffer (the paper's n)
+	bufCap int           // tuple budget of one buffer, for the occupancy gauge
+	refs   []*data.Tuple // the buffered tuples, shuffled by reference
+	buf    []data.Tuple  // their headers in shuffled order, emitted in turn
 	pos    int
 	rng    *rand.Rand
 	clock  *iosim.Clock
@@ -118,6 +122,7 @@ func (it *corgiIter) refill() {
 	}
 	sp := it.reg.Span(obs.SpanRefill)
 
+	it.refs = it.refs[:0]
 	it.buf = it.buf[:0]
 	it.pos = 0
 	blocks := 0
@@ -130,15 +135,20 @@ func (it *corgiIter) refill() {
 		}
 		it.next++
 		blocks++
-		it.buf = append(it.buf, ts...)
+		for j := range ts {
+			it.refs = append(it.refs, &ts[j])
+		}
 	}
 	// Tuple-level shuffle plus the per-tuple buffer-copy cost.
 	if it.clock != nil && it.copyC > 0 {
-		it.clock.Advance(time.Duration(len(it.buf)) * it.copyC)
+		it.clock.Advance(time.Duration(len(it.refs)) * it.copyC)
 	}
-	it.rng.Shuffle(len(it.buf), func(i, j int) {
-		it.buf[i], it.buf[j] = it.buf[j], it.buf[i]
+	it.rng.Shuffle(len(it.refs), func(i, j int) {
+		it.refs[i], it.refs[j] = it.refs[j], it.refs[i]
 	})
+	for _, t := range it.refs {
+		it.buf = append(it.buf, *t)
+	}
 
 	sp.End()
 	it.reg.Inc(obs.ShuffleRefills)

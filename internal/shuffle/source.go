@@ -26,7 +26,10 @@ type Source interface {
 	NumTuples() int
 	// BlockTuples returns the tuple count of block i.
 	BlockTuples(i int) int
-	// ReadBlock reads block i, charging any simulated I/O.
+	// ReadBlock reads block i, charging any simulated I/O. The returned
+	// tuples may be shared with every other reader of the block and are
+	// read-only: a table source checks the block's CRC on every read but
+	// decodes it only once, and hands every later read the same tuples.
 	ReadBlock(i int) ([]data.Tuple, error)
 	// Clock returns the simulated clock I/O is charged to, or nil for
 	// purely in-memory sources.

@@ -91,7 +91,8 @@ func (o Options) bufferTuples(total int) int {
 }
 
 // Iterator streams one epoch's tuples. After Next returns ok=false, Err
-// reports whether the epoch ended normally or on a storage error.
+// reports whether the epoch ended normally or on a storage error. The
+// tuples may be shared with the source's other readers and are read-only.
 type Iterator interface {
 	Next() (t *data.Tuple, ok bool)
 	Err() error

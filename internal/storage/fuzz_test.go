@@ -1,10 +1,15 @@
 package storage
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"hash/crc32"
+	"io"
+	"reflect"
 	"testing"
 
+	"corgipile/internal/data"
 	"corgipile/internal/iosim"
 )
 
@@ -27,8 +32,53 @@ func validBlockBytes(tb testing.TB, compress bool) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	m := tab.meta[0]
-	return append([]byte(nil), tab.file[m.Offset:m.Offset+m.Len]...)
+	return append([]byte(nil), tab.blocks[0]...)
+}
+
+// mixedBlockBytes is validBlockBytes over tuples of every shape the codec
+// knows — dense, sparse, and an empty tuple of each kind — so the seed
+// corpus reaches every branch of the arena decoder.
+func mixedBlockBytes(tb testing.TB, compress bool) []byte {
+	ds := &data.Dataset{Name: "mixed", Features: 4, Classes: 2, Tuples: []data.Tuple{
+		{ID: 0, Label: 1, Dense: []float64{1, 2, 3, 4}},
+		{ID: 1, Label: -1, SparseIdx: []int32{0, 3}, SparseVal: []float64{0.5, -2}},
+		{ID: 2, Label: 1, Dense: []float64{}},
+		{ID: 3, Label: -1, SparseIdx: []int32{}, SparseVal: []float64{}},
+		{ID: 4, Label: 1, Dense: []float64{-1, 0, 1, 2}},
+	}}
+	clock := iosim.NewClock()
+	tab, err := Build(iosim.NewDevice(iosim.RAM, clock), ds, Options{Compress: compress})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append([]byte(nil), tab.blocks[0]...)
+}
+
+// referenceDecode decodes a block image that the table decoder accepted the
+// slow way, one DecodeTuple at a time, each tuple with its own slices.
+func referenceDecode(t *testing.T, b []byte, compress bool) []data.Tuple {
+	t.Helper()
+	raw := b[24 : 24+binary.LittleEndian.Uint64(b[12:])]
+	if compress {
+		var err error
+		if raw, err = io.ReadAll(flate.NewReader(bytes.NewReader(raw))); err != nil {
+			t.Fatalf("reference inflate: %v", err)
+		}
+	}
+	count := int(binary.LittleEndian.Uint32(b[0:]))
+	out := make([]data.Tuple, 0, count)
+	for len(out) < count {
+		tp, n, err := DecodeTuple(raw)
+		if err != nil {
+			t.Fatalf("reference decode of tuple %d: %v", len(out), err)
+		}
+		out = append(out, tp)
+		raw = raw[n:]
+	}
+	if len(raw) != 0 {
+		t.Fatalf("reference decode left %d bytes", len(raw))
+	}
+	return out
 }
 
 // reseal recomputes the CRC so header mutations survive the checksum and
@@ -47,12 +97,17 @@ func reseal(b []byte) []byte {
 
 // FuzzDecodeBlock throws mutated block images at the decoder. The only
 // acceptable outcomes are a decoded tuple slice or an error — never a panic
-// and never an unbounded allocation from a hostile count/rawLen/payLen.
+// and never an unbounded allocation from a hostile count/rawLen/payLen. A
+// successful decode must equal the tuple-by-tuple reference decode, and
+// every tuple's feature slices must be capacity-capped windows of the
+// block's arenas, so appending to one tuple can never overwrite the next.
 func FuzzDecodeBlock(f *testing.F) {
 	plain := validBlockBytes(f, false)
 	comp := validBlockBytes(f, true)
 	f.Add(plain, false)
 	f.Add(comp, true)
+	f.Add(mixedBlockBytes(f, false), false)
+	f.Add(mixedBlockBytes(f, true), true)
 	f.Add([]byte{}, false)
 	f.Add(make([]byte, 23), false)
 
@@ -80,15 +135,22 @@ func FuzzDecodeBlock(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte, compress bool) {
 		tab := fuzzTable(compress)
-		m := BlockMeta{Offset: 0, Len: int64(len(b))}
-		tuples, err := tab.decodeBlockBytes(m, b)
-		if err == nil && compress == false && len(b) >= 24 {
-			// A successful decode must account for every payload byte.
-			payLen := binary.LittleEndian.Uint64(b[12:])
-			if count := binary.LittleEndian.Uint32(b[0:]); int(count) != len(tuples) {
-				t.Fatalf("decoded %d tuples, header claims %d", len(tuples), count)
+		tuples, err := tab.decodeBlockBytes(b, true)
+		if err != nil {
+			return
+		}
+		if count := binary.LittleEndian.Uint32(b[0:]); int(count) != len(tuples) {
+			t.Fatalf("decoded %d tuples, header claims %d", len(tuples), count)
+		}
+		if want := referenceDecode(t, b, compress); !reflect.DeepEqual(tuples, want) {
+			t.Fatalf("arena decode differs from the reference decode:\n got %v\nwant %v", tuples, want)
+		}
+		for i := range tuples {
+			tp := &tuples[i]
+			if cap(tp.Dense) != len(tp.Dense) || cap(tp.SparseIdx) != len(tp.SparseIdx) ||
+				cap(tp.SparseVal) != len(tp.SparseVal) {
+				t.Fatalf("tuple %d: feature slice capacity exceeds its length", i)
 			}
-			_ = payLen
 		}
 	})
 }

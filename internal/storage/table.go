@@ -80,22 +80,39 @@ type RawBlock struct {
 
 // Table is a heap table laid out in blocks on a simulated device.
 //
-// Tuple bytes live in memory (the file slice); the device accounts for the
-// simulated time real hardware would spend serving each access.
+// Tuple bytes live in memory (one image per block); the device accounts
+// for the simulated time real hardware would spend serving each access.
 //
 // Tables are mutable: AppendTuples/AppendRawBlock add whole blocks to the
 // tail under an internal lock, and existing blocks are never rewritten, so
 // concurrent readers (a training epoch in flight) observe a stable prefix
 // while ingestion extends the table.
+//
+// Each block is decoded at most once: the first read keeps the decoded
+// tuples beside the block index, and every later ReadBlock and DecodeAll
+// hands out those same tuples. Only the parse (and, for compressed blocks,
+// the real inflate) is skipped; every read still charges the device, takes
+// injected faults, and checks the block header and the CRC of the stored
+// bytes.
 type Table struct {
 	Name string
 
 	dev  *iosim.Device
 	opts Options
 
-	mu   sync.RWMutex
-	file []byte
-	meta []BlockMeta
+	mu sync.RWMutex
+	// blocks[i] is block i's on-disk image (header, payload and page
+	// padding) in an array of its own, so an append never copies the
+	// table; size is the file length, where the next block starts.
+	blocks [][]byte
+	size   int64
+	meta   []BlockMeta
+	// decoded[i] holds block i's tuples once a read has decoded them (nil
+	// until then). gen counts TruncateBlocks calls: a truncate followed by
+	// a re-append reuses the same index and file offset, so a decode that
+	// raced it must not be installed for the block that replaced it.
+	decoded [][]data.Tuple
+	gen     uint64
 
 	task     data.Task
 	features int
@@ -180,9 +197,10 @@ func (t *Table) appendTuples(ts []data.Tuple, keepRaw bool) ([]RawBlock, error) 
 
 // AppendRawBlock appends one block from its raw form — the WAL replay path.
 // The payload is validated tuple by tuple before any table state changes,
-// so a corrupt record can never install an undecodable block.
+// so a corrupt record can never install an undecodable block. Validation
+// builds no tuples: the block is decoded on its first read.
 func (t *Table) AppendRawBlock(rb RawBlock) error {
-	if _, err := DecodeRawTuples(rb.Raw, rb.Tuples); err != nil {
+	if _, _, err := scanRawTuples(rb.Raw, rb.Tuples); err != nil {
 		return fmt.Errorf("storage: append block: %w", err)
 	}
 	payload := rb.Raw
@@ -209,22 +227,24 @@ func (t *Table) AppendRawBlock(rb RawBlock) error {
 	binary.LittleEndian.PutUint64(hdr[12:], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[20:], crc32.ChecksumIEEE(payload))
 
-	t.mu.Lock()
-	offset := int64(len(t.file))
-	t.file = append(t.file, hdr[:]...)
-	t.file = append(t.file, payload...)
 	// Pad uncompressed blocks to whole pages so BN matches
 	// page_num*page_size/block_size as in the paper's operator.
-	if !t.opts.Compress {
-		total := int64(len(hdr)) + int64(len(payload))
-		if rem := total % t.opts.PageSize; rem != 0 {
-			t.file = append(t.file, make([]byte, t.opts.PageSize-rem)...)
-		}
+	blockLen := int64(len(hdr)) + int64(len(payload))
+	if rem := blockLen % t.opts.PageSize; !t.opts.Compress && rem != 0 {
+		blockLen += t.opts.PageSize - rem
 	}
-	blockLen := int64(len(t.file)) - offset
+	img := make([]byte, blockLen)
+	copy(img, hdr[:])
+	copy(img[len(hdr):], payload)
+
+	t.mu.Lock()
+	offset := t.size
+	t.size += blockLen
+	t.blocks = append(t.blocks, img)
 	t.meta = append(t.meta, BlockMeta{
 		Offset: offset, Len: blockLen, RawLen: rawLen, Tuples: rb.Tuples, FirstID: rb.FirstID,
 	})
+	t.decoded = append(t.decoded, nil)
 	t.tuples += rb.Tuples
 	t.mu.Unlock()
 	if t.opts.ChargeBuild {
@@ -261,12 +281,14 @@ func (t *Table) TruncateBlocks(n int) {
 	if n < 0 || n >= len(t.meta) {
 		return
 	}
-	cut := t.meta[n].Offset
+	t.size = t.meta[n].Offset
 	for _, m := range t.meta[n:] {
 		t.tuples -= m.Tuples
 	}
 	t.meta = t.meta[:n:n]
-	t.file = t.file[:cut:cut]
+	t.blocks = t.blocks[:n:n]
+	t.decoded = t.decoded[:n:n]
+	t.gen++
 }
 
 // NumBlocks returns the number of blocks (the paper's N).
@@ -287,7 +309,7 @@ func (t *Table) NumTuples() int {
 func (t *Table) SizeBytes() int64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return int64(len(t.file))
+	return t.size
 }
 
 // BlockTuples returns the tuple count of block i.
@@ -297,63 +319,88 @@ func (t *Table) BlockTuples(i int) int {
 	return t.meta[i].Tuples
 }
 
-// snapshot captures the block index and file image under the read lock.
-// Blocks are immutable once appended and the file only grows, so the
-// returned slices stay valid while concurrent appends extend the table.
-func (t *Table) snapshot() ([]BlockMeta, []byte) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.meta, t.file
+// blockRef is one block as captured under the read lock: its index entry,
+// its stored bytes, its decoded tuples if a read has already decoded it,
+// and the table generation all three belong to.
+type blockRef struct {
+	i      int
+	m      BlockMeta
+	bytes  []byte
+	tuples []data.Tuple
+	gen    uint64
 }
 
-// snapshotBlock captures one block's metadata and bytes.
-func (t *Table) snapshotBlock(i int) (BlockMeta, []byte, error) {
+// ref captures block i under the read lock.
+func (t *Table) ref(i int) (blockRef, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if i < 0 || i >= len(t.meta) {
-		return BlockMeta{}, nil, fmt.Errorf("storage: block %d out of range [0,%d)", i, len(t.meta))
+		return blockRef{}, fmt.Errorf("storage: block %d out of range [0,%d)", i, len(t.meta))
 	}
-	m := t.meta[i]
-	return m, t.file[m.Offset : m.Offset+m.Len : m.Offset+m.Len], nil
+	return t.refLocked(i), nil
 }
 
-// ReadBlock reads and decodes block i, charging the device (and therefore
-// the simulated clock) for the access. Compressed blocks additionally pay
-// the modelled decompression time. A device fault plan may make the read
-// fail transiently (an error wrapping iosim.ErrTransient) or return the
-// block's payload with a flipped bit, which the CRC check converts into a
+// refs captures every block at once, so the set is consistent with one
+// instant of the table. Blocks are immutable once appended, so the
+// captured bytes stay valid while concurrent appends extend the table.
+func (t *Table) refs() []blockRef {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make([]blockRef, len(t.meta))
+	for i := range out {
+		out[i] = t.refLocked(i)
+	}
+	return out
+}
+
+func (t *Table) refLocked(i int) blockRef {
+	return blockRef{i: i, m: t.meta[i], bytes: t.blocks[i], tuples: t.decoded[i], gen: t.gen}
+}
+
+// ReadBlock reads block i, charging the device (and therefore the
+// simulated clock) for the access. Compressed blocks additionally pay the
+// modelled decompression time. A device fault plan may make the read fail
+// transiently (an error wrapping iosim.ErrTransient) or return the block's
+// payload with a flipped bit, which the CRC check converts into a
 // permanent ErrCorrupt.
+//
+// The header and CRC of the stored bytes are checked on every read, but
+// the tuples are decoded only on a block's first read. The returned tuples
+// are shared with every other reader of the block and must not be
+// modified.
 func (t *Table) ReadBlock(i int) ([]data.Tuple, error) {
-	m, blk, err := t.snapshotBlock(i)
+	b, err := t.ref(i)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := t.dev.TryReadAt(m.Offset, m.Len); err != nil {
+	if _, err := t.dev.TryReadAt(b.m.Offset, b.m.Len); err != nil {
 		return nil, fmt.Errorf("storage: block %d: %w", i, err)
 	}
 	if t.dev.BlockCorrupt(i) {
 		// Decode a copy with one payload bit flipped: the checksum trips
-		// exactly as it would for real media corruption.
-		buf := append([]byte(nil), blk...)
+		// exactly as it would for real media corruption. The copy neither
+		// reads nor fills the decoded-block cache.
+		buf := append([]byte(nil), b.bytes...)
 		if len(buf) > 24 {
 			buf[24] ^= 0x01
 		}
-		tuples, err := t.decodeBlockBytes(m, buf)
+		tuples, err := t.decodeBlockBytes(buf, true)
 		if err != nil {
 			return nil, fmt.Errorf("storage: block %d: %w", i, err)
 		}
 		return tuples, nil
 	}
-	return t.decodeBlockBytes(m, blk)
+	return t.decodeRef(b, true)
 }
 
 // RawBlockAt reconstructs block i's raw form without charging any simulated
 // I/O — the checkpoint writer's read path.
 func (t *Table) RawBlockAt(i int) (RawBlock, error) {
-	m, blk, err := t.snapshotBlock(i)
+	b, err := t.ref(i)
 	if err != nil {
 		return RawBlock{}, err
 	}
+	m, blk := b.m, b.bytes
 	if !t.opts.Compress {
 		if int64(len(blk)) < 24+m.RawLen {
 			return RawBlock{}, fmt.Errorf("%w: block %d shorter than its raw length", ErrCorrupt, i)
@@ -361,7 +408,7 @@ func (t *Table) RawBlockAt(i int) (RawBlock, error) {
 		raw := append([]byte(nil), blk[24:24+m.RawLen]...)
 		return RawBlock{Raw: raw, Tuples: m.Tuples, FirstID: m.FirstID}, nil
 	}
-	tuples, err := t.decodeBlockUncharged(m, blk)
+	tuples, err := t.decodeRef(b, false)
 	if err != nil {
 		return RawBlock{}, err
 	}
@@ -376,31 +423,54 @@ func (t *Table) RawBlockAt(i int) (RawBlock, error) {
 // of the stored payload are rejected as corrupt before any allocation.
 const maxFlateRatio = 1032
 
-// decodeBlockBytes decodes the tuples of block m from buf. Every header
-// field is validated against m.Len and the actual payload before it is
-// trusted: a hostile or bit-flipped header yields ErrCorrupt, never a panic
-// or an unbounded allocation.
-func (t *Table) decodeBlockBytes(m BlockMeta, buf []byte) ([]data.Tuple, error) {
+// checkBlock validates a stored block image: every header field is checked
+// against the image before it is trusted, then the CRC32 of the stored
+// payload. It returns the stored payload, the tuple count and the raw
+// (uncompressed) length. A hostile or bit-flipped header yields ErrCorrupt,
+// never a panic or an unbounded allocation.
+func (t *Table) checkBlock(buf []byte) (payload []byte, count int, rawLen int64, err error) {
 	if len(buf) < 24 {
-		return nil, fmt.Errorf("%w: short block header", ErrCorrupt)
+		return nil, 0, 0, fmt.Errorf("%w: short block header", ErrCorrupt)
 	}
-	count := int64(binary.LittleEndian.Uint32(buf[0:]))
-	rawLen := int64(binary.LittleEndian.Uint64(buf[4:]))
+	count64 := int64(binary.LittleEndian.Uint32(buf[0:]))
+	rawLen = int64(binary.LittleEndian.Uint64(buf[4:]))
 	payLen := int64(binary.LittleEndian.Uint64(buf[12:]))
 	sum := binary.LittleEndian.Uint32(buf[20:])
 	if payLen < 0 || payLen > int64(len(buf))-24 {
-		return nil, fmt.Errorf("%w: payload length %d out of range for %d-byte block", ErrCorrupt, payLen, len(buf))
+		return nil, 0, 0, fmt.Errorf("%w: payload length %d out of range for %d-byte block", ErrCorrupt, payLen, len(buf))
 	}
 	if rawLen < 0 || (!t.opts.Compress && rawLen != payLen) || rawLen > payLen*maxFlateRatio+64 {
-		return nil, fmt.Errorf("%w: raw length %d inconsistent with %d-byte payload", ErrCorrupt, rawLen, payLen)
+		return nil, 0, 0, fmt.Errorf("%w: raw length %d inconsistent with %d-byte payload", ErrCorrupt, rawLen, payLen)
 	}
-	if count*tupleHeaderSize > rawLen {
-		return nil, fmt.Errorf("%w: tuple count %d exceeds %d-byte raw payload", ErrCorrupt, count, rawLen)
+	if count64*tupleHeaderSize > rawLen {
+		return nil, 0, 0, fmt.Errorf("%w: tuple count %d exceeds %d-byte raw payload", ErrCorrupt, count64, rawLen)
 	}
-	payload := buf[24 : 24+payLen]
+	payload = buf[24 : 24+payLen]
 	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, fmt.Errorf("%w: block checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, sum, got)
+		return nil, 0, 0, fmt.Errorf("%w: block checksum mismatch (stored %08x, computed %08x)", ErrCorrupt, sum, got)
 	}
+	return payload, int(count64), rawLen, nil
+}
+
+// chargeDecompress advances the simulated clock by the modelled time to
+// inflate rawLen bytes.
+func (t *Table) chargeDecompress(rawLen int64) {
+	t.dev.Clock().Advance(time.Duration(float64(rawLen) / t.opts.DecompressRate * float64(time.Second)))
+}
+
+// decodeBlockBytes checks and decodes a block image, charging the modelled
+// decompression time when charge is set. It never touches the cache.
+func (t *Table) decodeBlockBytes(buf []byte, charge bool) ([]data.Tuple, error) {
+	payload, count, rawLen, err := t.checkBlock(buf)
+	if err != nil {
+		return nil, err
+	}
+	return t.decodePayload(payload, count, rawLen, charge)
+}
+
+// decodePayload inflates a checked payload if the table is compressed and
+// decodes its tuples.
+func (t *Table) decodePayload(payload []byte, count int, rawLen int64, charge bool) ([]data.Tuple, error) {
 	if t.opts.Compress {
 		fr := flate.NewReader(bytes.NewReader(payload))
 		raw, err := io.ReadAll(io.LimitReader(fr, rawLen+1))
@@ -414,30 +484,50 @@ func (t *Table) decodeBlockBytes(m BlockMeta, buf []byte) ([]data.Tuple, error) 
 			return nil, fmt.Errorf("%w: decompressed %d bytes, header claims %d", ErrCorrupt, len(raw), rawLen)
 		}
 		payload = raw
-		// Charge modelled decompression time.
-		t.dev.Clock().Advance(time.Duration(float64(rawLen) / t.opts.DecompressRate * float64(time.Second)))
-	}
-	if maxTuples := int64(len(payload)) / tupleHeaderSize; count > maxTuples {
-		return nil, fmt.Errorf("%w: tuple count %d exceeds %d-byte payload", ErrCorrupt, count, len(payload))
-	}
-	tuples := make([]data.Tuple, 0, count)
-	for int64(len(tuples)) < count {
-		tp, n, err := DecodeTuple(payload)
-		if err != nil {
-			return nil, err
+		if charge {
+			t.chargeDecompress(rawLen)
 		}
-		tuples = append(tuples, tp)
-		payload = payload[n:]
 	}
-	if len(payload) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes after %d tuples", ErrCorrupt, len(payload), count)
+	return DecodeRawTuples(payload, count)
+}
+
+// decodeRef checks a captured block and returns its tuples: the cached ones
+// if a read has decoded the block before, else a fresh decode, which it
+// installs in the cache. A cache hit skips only the inflate and the parse;
+// it still checks the header and CRC, and charges the same modelled
+// decompression time, so the set of failing reads and the simulated clock
+// are the same either way.
+func (t *Table) decodeRef(b blockRef, charge bool) ([]data.Tuple, error) {
+	payload, count, rawLen, err := t.checkBlock(b.bytes)
+	if err != nil {
+		return nil, err
 	}
+	if b.tuples != nil {
+		if t.opts.Compress && charge {
+			t.chargeDecompress(rawLen)
+		}
+		return b.tuples, nil
+	}
+	tuples, err := t.decodePayload(payload, count, rawLen, charge)
+	if err != nil {
+		return nil, err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.gen != b.gen {
+		return tuples, nil
+	}
+	if cur := t.decoded[b.i]; cur != nil {
+		return cur, nil // another reader decoded it first
+	}
+	t.decoded[b.i] = tuples
 	return tuples, nil
 }
 
 // ScanAll reads every block in storage order, returning all tuples and
 // charging sequential I/O. The block range is captured at entry: blocks
-// appended while the scan runs are not included.
+// appended while the scan runs are not included. The returned slice is the
+// caller's, but the feature slices of its tuples are shared and read-only.
 func (t *Table) ScanAll() ([]data.Tuple, error) {
 	n := t.NumBlocks()
 	out := make([]data.Tuple, 0, t.NumTuples())
@@ -453,32 +543,25 @@ func (t *Table) ScanAll() ([]data.Tuple, error) {
 
 // DecodeAll decodes every tuple without charging any simulated I/O. It is
 // used for out-of-band model evaluation, which the paper's measurements
-// also exclude from training time.
+// also exclude from training time. Like ReadBlock it checks every block's
+// header and CRC and decodes each block only once; the returned slice is
+// the caller's, but the feature slices of its tuples are shared with the
+// table's other readers and must not be modified.
 func (t *Table) DecodeAll() ([]data.Tuple, error) {
-	meta, file := t.snapshot()
-	out := make([]data.Tuple, 0, t.NumTuples())
-	for _, m := range meta {
-		ts, err := t.decodeBlockUncharged(m, file[m.Offset:m.Offset+m.Len])
+	refs := t.refs()
+	total := 0
+	for _, b := range refs {
+		total += b.m.Tuples
+	}
+	out := make([]data.Tuple, 0, total)
+	for _, b := range refs {
+		ts, err := t.decodeRef(b, false)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, ts...)
 	}
 	return out, nil
-}
-
-// decodeBlockUncharged decodes a block without charging decompression time.
-func (t *Table) decodeBlockUncharged(m BlockMeta, blk []byte) ([]data.Tuple, error) {
-	if !t.opts.Compress {
-		return t.decodeBlockBytes(m, blk)
-	}
-	// Temporarily drop the decompress charge by decoding around the clock:
-	// decodeBlockBytes charges via the device clock, so save/restore it.
-	clk := t.dev.Clock()
-	before := clk.Now()
-	ts, err := t.decodeBlockBytes(m, blk)
-	clk.Set(before)
-	return ts, err
 }
 
 // ShuffleOnceCopy materializes a fully shuffled copy of the table — the

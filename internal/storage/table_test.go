@@ -270,7 +270,7 @@ func TestBlockChecksumDetectsCorruption(t *testing.T) {
 	ds := testDataset(300, 8)
 	tab, _ := buildTable(t, ds, Options{BlockSize: 4 << 10})
 	// Flip a byte inside the first block's payload.
-	tab.file[tab.meta[0].Offset+30] ^= 0xFF
+	tab.blocks[0][30] ^= 0xFF
 	if _, err := tab.ReadBlock(0); err == nil {
 		t.Fatal("corrupted block should fail its checksum")
 	} else if !strings.Contains(err.Error(), "checksum") {
@@ -285,7 +285,7 @@ func TestBlockChecksumDetectsCorruption(t *testing.T) {
 func TestBlockChecksumCompressed(t *testing.T) {
 	ds := testDataset(300, 16)
 	tab, _ := buildTable(t, ds, Options{BlockSize: 8 << 10, Compress: true})
-	tab.file[tab.meta[0].Offset+26] ^= 0x01
+	tab.blocks[0][26] ^= 0x01
 	if _, err := tab.ReadBlock(0); err == nil {
 		t.Fatal("corrupted compressed block should fail")
 	}

@@ -255,8 +255,8 @@ func TestAppendTuplesExtendsTable(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		origTail := tab.file[tab.meta[before].Offset:]
-		if !bytes.Equal(replay.file, origTail) {
+		origTail := bytes.Join(tab.blocks[before:], nil)
+		if !bytes.Equal(bytes.Join(replay.blocks, nil), origTail) {
 			t.Fatalf("compress=%v: replayed bytes differ from appended bytes", compress)
 		}
 	}

@@ -10,7 +10,8 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 go test ./...
-go test -race ./internal/...
+# A hung test fails after 300s with every goroutine's stack.
+GOTRACEBACK=all go test -race -timeout 300s ./internal/...
 go test -run 'Fuzz' ./internal/storage/
 
 # EXPLAIN ANALYZE golden output: the executed-plan tree must keep its
